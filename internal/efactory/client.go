@@ -411,16 +411,11 @@ func (c *Client) pureRead(p *sim.Proc, tc *trace.Ctx, key []byte) (val []byte, o
 		return nil, false, err
 	}
 	tc.Add("object_read", tObj, c.nowNS())
-	h := kv.DecodeHeader(obj)
-	if h.Magic != kv.Magic || !h.Valid() || !h.Durable() {
-		return nil, false, nil // step 4 failed: not completely durable
-	}
-	if h.KLen != len(key) || string(obj[kv.KeyOffset():kv.KeyOffset()+h.KLen]) != string(key) {
-		return nil, false, nil // hash collision; let the server disambiguate
-	}
-	vo := kv.ValueOffset(h.KLen)
-	if vo+h.VLen > len(obj) {
-		return nil, false, nil // torn metadata; fall back
+	// Step 4: a complete, durable version of this key — otherwise (not
+	// yet durable, a hash collision, torn metadata) the server resolves it.
+	h, val, st := kv.CheckObject(obj, key, true)
+	if st != kv.ObjOK {
+		return nil, false, nil
 	}
 	if c.hints != nil {
 		shard := cluster.ShardOf(keyHash, len(c.shards))
@@ -429,7 +424,7 @@ func (c *Client) pureRead(p *sim.Proc, tc *trace.Ctx, key []byte) (val []byte, o
 			KLen: h.KLen, Seq: h.Seq, Durable: true,
 		})
 	}
-	return append([]byte(nil), obj[vo:vo+h.VLen]...), true, nil
+	return append([]byte(nil), val...), true, nil
 }
 
 // rpcRead is the RPC+RDMA read scheme: the server returns the location of
@@ -453,15 +448,14 @@ func (c *Client) rpcRead(p *sim.Proc, tc *trace.Ctx, key []byte) ([]byte, error)
 		return nil, err
 	}
 	tc.Add("object_read", tObj, c.nowNS())
-	h := kv.DecodeHeader(obj)
-	vo := kv.ValueOffset(h.KLen)
-	if h.Magic != kv.Magic || vo+h.VLen > len(obj) {
+	h, val, st := kv.CheckObject(obj, key, false)
+	if st != kv.ObjOK {
 		return nil, fmt.Errorf("efactory: server returned corrupt object at %d", resp.Off)
 	}
 	// The server only grants durable versions, so the hint is warm for the
 	// next optimistic read.
 	c.noteLocation(key, resp.RKey, resp.Off, int(resp.Len), h.KLen, h.Seq, true)
-	return append([]byte(nil), obj[vo:vo+h.VLen]...), nil
+	return append([]byte(nil), val...), nil
 }
 
 // Delete removes key.

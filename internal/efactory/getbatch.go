@@ -115,16 +115,11 @@ func (c *Client) hintedRead(p *sim.Proc, tc *trace.Ctx, key []byte) ([]byte, int
 		}
 		tc.Add("object_read", tRefetch, c.nowNS())
 	}
-	hd := kv.DecodeHeader(obj)
-	if hd.Magic != kv.Magic || !hd.Valid() || !hd.Durable() {
+	hd, val, st := kv.CheckObject(obj, key, true)
+	switch st {
+	case kv.ObjUnsettled:
 		return nil, hrFallback, nil // not completely durable: server resolves
-	}
-	if hd.KLen != len(key) || string(obj[kv.KeyOffset():kv.KeyOffset()+hd.KLen]) != string(key) {
-		c.hints.Invalidate(shard, key)
-		return nil, hrFallback, nil
-	}
-	vo := kv.ValueOffset(hd.KLen)
-	if vo+hd.VLen > len(obj) {
+	case kv.ObjMismatch:
 		c.hints.Invalidate(shard, key)
 		return nil, hrFallback, nil
 	}
@@ -132,7 +127,7 @@ func (c *Client) hintedRead(p *sim.Proc, tc *trace.Ctx, key []byte) ([]byte, int
 		Slot: slot, Pool: pool, Off: off, Len: tlen, KLen: hd.KLen, Seq: hd.Seq, Durable: true,
 	})
 	c.Stats.HintedReads++
-	return append([]byte(nil), obj[vo:vo+hd.VLen]...), hrHit, nil
+	return append([]byte(nil), val...), hrHit, nil
 }
 
 // gbPhase is the per-key step a GetBatch round just issued.
@@ -235,10 +230,9 @@ func (c *Client) getBatchTraced(p *sim.Proc, tc *trace.Ctx, keys [][]byte, vals 
 			c.hints.Invalidate(sts[i].shard, keys[i])
 		}
 	}
-	finish := func(i int, hd kv.Header) {
+	finish := func(i int, hd kv.Header, val []byte) {
 		st := &sts[i]
-		vo := kv.ValueOffset(hd.KLen)
-		vals[i] = append([]byte(nil), st.obj[vo:vo+hd.VLen]...)
+		vals[i] = append([]byte(nil), val...)
 		st.done = true
 		c.Stats.PureReads++
 		if st.phase == gbHinted {
@@ -255,23 +249,16 @@ func (c *Client) getBatchTraced(p *sim.Proc, tc *trace.Ctx, keys [][]byte, vals 
 	// finishes the key or sends it to the RPC fallback.
 	validateObj := func(i int) {
 		st := &sts[i]
-		hd := kv.DecodeHeader(st.obj)
-		if hd.Magic != kv.Magic || !hd.Valid() || !hd.Durable() {
+		hd, val, status := kv.CheckObject(st.obj, keys[i], true)
+		switch status {
+		case kv.ObjUnsettled:
 			fallback(i) // not completely durable: location may still be right
-			return
-		}
-		k := keys[i]
-		if hd.KLen != len(k) || string(st.obj[kv.KeyOffset():kv.KeyOffset()+hd.KLen]) != string(k) {
+		case kv.ObjMismatch:
 			invalidate(i)
 			fallback(i)
-			return
+		default:
+			finish(i, hd, val)
 		}
-		if kv.ValueOffset(hd.KLen)+hd.VLen > len(st.obj) {
-			invalidate(i)
-			fallback(i)
-			return
-		}
-		finish(i, hd)
 	}
 
 	var acted []int
@@ -455,14 +442,12 @@ func (c *Client) getBatchRPC(p *sim.Proc, tc *trace.Ctx, keys [][]byte, sts []gb
 	tc.Add("doorbell_read", tRead, c.nowNS())
 	for _, j := range rIdx {
 		i, g := fbIdx[j], grants[j]
-		obj := sts[i].obj
-		hd := kv.DecodeHeader(obj)
-		vo := kv.ValueOffset(hd.KLen)
-		if hd.Magic != kv.Magic || vo+hd.VLen > len(obj) {
+		_, val, st := kv.CheckObject(sts[i].obj, keys[i], false)
+		if st != kv.ObjOK {
 			errs[i] = fmt.Errorf("efactory: server returned corrupt object at %d", g.Off)
 			continue
 		}
-		vals[i] = append([]byte(nil), obj[vo:vo+hd.VLen]...)
+		vals[i] = append([]byte(nil), val...)
 		if c.hints != nil {
 			c.hints.Insert(sts[i].shard, keys[i], hint.Entry{
 				Slot: int(g.Slot), Pool: g.RKey, Off: g.Off, Len: int(g.Len),

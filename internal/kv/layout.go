@@ -147,6 +147,47 @@ func KeyOffset() int { return HeaderSize }
 // key is klen bytes.
 func ValueOffset(klen int) int { return HeaderSize + pad8(klen) }
 
+// ObjStatus classifies an object image a client fetched one-sidedly.
+type ObjStatus uint8
+
+const (
+	// ObjOK: a complete version of the expected key.
+	ObjOK ObjStatus = iota
+	// ObjUnsettled: bad magic, or (when a settled version is required)
+	// the valid or durability flag is clear. The location may still be
+	// right; only the server can resolve the key.
+	ObjUnsettled
+	// ObjMismatch: the image is shorter than a header, holds a different
+	// key, or its lengths overrun it. Whatever named this location (a
+	// hash entry, a hint, a grant) is wrong.
+	ObjMismatch
+)
+
+// CheckObject decodes the object image obj read for key and returns its
+// header and a value view aliasing obj. With settled set it also demands
+// the valid and durability flags, as an optimistic read must; a server
+// grant already names a durable version, so its reader passes false.
+// Every length comes from peer or media input, so each is checked before
+// it slices: a short or torn image yields a status, never a panic.
+func CheckObject(obj, key []byte, settled bool) (Header, []byte, ObjStatus) {
+	if len(obj) < HeaderSize {
+		return Header{}, nil, ObjMismatch
+	}
+	h := DecodeHeader(obj)
+	if h.Magic != Magic || settled && (!h.Valid() || !h.Durable()) {
+		return h, nil, ObjUnsettled
+	}
+	ko := KeyOffset()
+	if h.KLen != len(key) || ko+h.KLen > len(obj) || string(obj[ko:ko+h.KLen]) != string(key) {
+		return h, nil, ObjMismatch
+	}
+	vo := ValueOffset(h.KLen)
+	if vo+h.VLen > len(obj) {
+		return h, nil, ObjMismatch
+	}
+	return h, obj[vo : vo+h.VLen], ObjOK
+}
+
 // WriteHeader stores (volatile) an encoded header at pool offset off. It
 // writes word-by-word through Write8, the mirror of ReadHeader's
 // buffer-free form: header writes sit on the PUT allocation path, and an

@@ -18,8 +18,8 @@ package nvm
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
-	"slices"
 	"sync"
 )
 
@@ -65,9 +65,9 @@ type Device interface {
 // TCP transport accesses a Memory from multiple goroutines.
 type Memory struct {
 	mu      sync.Mutex
-	persist []byte                 // durable contents
-	dirty   map[int][LineSize]byte // volatile overlay, keyed by line index
-	flushes int                    // lines flushed, for stats/tests
+	persist []byte  // durable contents
+	dirty   overlay // volatile overlay of cache lines
+	flushes int     // lines flushed, for stats/tests
 }
 
 var _ Device = (*Memory)(nil)
@@ -81,10 +81,7 @@ func New(size int) *Memory {
 	if r := size % LineSize; r != 0 {
 		size += LineSize - r
 	}
-	return &Memory{
-		persist: make([]byte, size),
-		dirty:   make(map[int][LineSize]byte),
-	}
+	return &Memory{persist: make([]byte, size), dirty: newOverlay(size / LineSize)}
 }
 
 // Size returns the capacity in bytes.
@@ -107,20 +104,15 @@ func (m *Memory) Read(off int, dst []byte) {
 func (m *Memory) readLocked(off int, dst []byte) {
 	copy(dst, m.persist[off:off+len(dst)])
 	// Overlay dirty lines.
-	first := off / LineSize
-	last := (off + len(dst) - 1) / LineSize
-	for li := first; li <= last; li++ {
-		line, ok := m.dirty[li]
-		if !ok {
+	end := off + len(dst)
+	for li := off / LineSize; li <= (end-1)/LineSize; li++ {
+		line := m.dirty.line(li)
+		if line == nil {
 			continue
 		}
 		base := li * LineSize
-		for i := 0; i < LineSize; i++ {
-			pos := base + i
-			if pos >= off && pos < off+len(dst) {
-				dst[pos-off] = line[i]
-			}
-		}
+		lo, hi := max(base, off), min(base+LineSize, end)
+		copy(dst[lo-off:hi-off], line[lo-base:hi-base])
 	}
 }
 
@@ -136,13 +128,13 @@ func (m *Memory) writeLocked(off int, src []byte) {
 	for len(src) > 0 {
 		li := off / LineSize
 		base := li * LineSize
-		line, ok := m.dirty[li]
-		if !ok {
+		line := m.dirty.line(li)
+		if line == nil {
 			// Bring the line into the "cache" from persistent media.
+			line = m.dirty.add(li)
 			copy(line[:], m.persist[base:base+LineSize])
 		}
 		n := copy(line[off-base:], src)
-		m.dirty[li] = line
 		off += n
 		src = src[n:]
 	}
@@ -182,12 +174,12 @@ func (m *Memory) Flush(off, n int) {
 }
 
 func (m *Memory) flushLineLocked(li int) {
-	line, ok := m.dirty[li]
-	if !ok {
+	line := m.dirty.line(li)
+	if line == nil {
 		return
 	}
 	copy(m.persist[li*LineSize:], line[:])
-	delete(m.dirty, li)
+	m.dirty.remove(li)
 	m.flushes++
 }
 
@@ -203,28 +195,19 @@ func (m *Memory) Zero(off, n int) {
 	}
 	m.check(off, n)
 	clear(m.persist[off : off+n])
-	first := off / LineSize
-	last := (off + n - 1) / LineSize
-	for li := first; li <= last; li++ {
-		line, ok := m.dirty[li]
-		if !ok {
-			continue
-		}
+	end := off + n
+	m.dirty.each(off/LineSize, (end-1)/LineSize, func(li int, line *[LineSize]byte) {
 		base := li * LineSize
-		for i := 0; i < LineSize; i++ {
-			if base+i >= off && base+i < off+n {
-				line[i] = 0
-			}
-		}
-		m.dirty[li] = line
-	}
+		lo, hi := max(base, off), min(base+LineSize, end)
+		clear(line[lo-base : hi-base])
+	})
 }
 
 // DirtyLines returns the number of cache lines whose contents are volatile.
 func (m *Memory) DirtyLines() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.dirty)
+	return m.dirty.n
 }
 
 // FlushedLines returns the cumulative number of line flushes, for tests and
@@ -258,19 +241,13 @@ func (m *Memory) Crash(seed uint64, survival float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rng := rand.New(rand.NewPCG(seed, 0xda7a_b10c))
-	// Iterate lines in sorted order for determinism (map order is random).
-	lines := make([]int, 0, len(m.dirty))
-	for li := range m.dirty {
-		lines = append(lines, li)
-	}
-	slices.Sort(lines)
-	for _, li := range lines {
+	// One draw per dirty line in ascending line order, for determinism.
+	m.dirty.each(0, len(m.persist)/LineSize-1, func(li int, line *[LineSize]byte) {
 		if rng.Float64() < survival {
-			line := m.dirty[li]
 			copy(m.persist[li*LineSize:], line[:])
 		}
-	}
-	m.dirty = make(map[int][LineSize]byte)
+	})
+	m.dirty = newOverlay(len(m.persist) / LineSize)
 }
 
 func putLE64(b []byte, v uint64) {
@@ -289,4 +266,108 @@ func le64(b []byte) uint64 {
 	_ = b[7]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+// The overlay keeps its lines in a slab of fixed-size chunks, recycled
+// through a free list as lines are flushed, and finds them through a
+// two-level index from line number to slab slot. An index page is
+// allocated the first time a line in its range goes dirty and kept once
+// the range is clean again. Dirtying a line therefore allocates only on
+// a first touch of a new index page or when the slab grows past its peak
+// — once per thousands of lines on a large device, where a map would
+// allocate on every growth step. Both sizes scale with the device, so a
+// small test device stays small.
+const (
+	maxPageShift  = 13   // index pages of up to 8192 lines (32 KiB)
+	maxChunkLines = 4096 // slab chunks of up to 256 KiB
+)
+
+// overlay is the volatile cache-line overlay: the lines written since
+// their last flush, keyed by line index.
+type overlay struct {
+	pageShift  uint      // an index page covers 1<<pageShift lines
+	chunkLines int       // lines per slab chunk
+	index      [][]int32 // index[li>>pageShift][li&mask] = slab slot + 1; 0 = clean
+	chunks     [][][LineSize]byte
+	used       int     // slab slots ever handed out
+	free       []int32 // slab slots released by flushes
+	n          int     // dirty lines
+}
+
+// newOverlay sizes an empty overlay for a device of lines cache lines:
+// about 256 index pages and 512 slab chunks cover the whole device.
+func newOverlay(lines int) overlay {
+	shift := uint(max(bits.Len(uint(lines)), 9) - 8)
+	return overlay{
+		pageShift:  min(shift, maxPageShift),
+		chunkLines: min(max(lines>>9, 64), maxChunkLines),
+	}
+}
+
+func (o *overlay) page(li int) (p, i int) {
+	return li >> o.pageShift, li & (1<<o.pageShift - 1)
+}
+
+// line returns line li's volatile contents, or nil if li is clean.
+func (o *overlay) line(li int) *[LineSize]byte {
+	p, i := o.page(li)
+	if p >= len(o.index) || o.index[p] == nil || o.index[p][i] == 0 {
+		return nil
+	}
+	return o.slot(o.index[p][i] - 1)
+}
+
+func (o *overlay) slot(s int32) *[LineSize]byte {
+	return &o.chunks[int(s)/o.chunkLines][int(s)%o.chunkLines]
+}
+
+// add marks the clean line li dirty and returns its (stale) slab line.
+func (o *overlay) add(li int) *[LineSize]byte {
+	p, i := o.page(li)
+	if p >= len(o.index) {
+		o.index = append(o.index, make([][]int32, p+1-len(o.index))...)
+	}
+	if o.index[p] == nil {
+		o.index[p] = make([]int32, 1<<o.pageShift)
+	}
+	var s int32
+	if k := len(o.free); k > 0 {
+		s, o.free = o.free[k-1], o.free[:k-1]
+	} else {
+		if o.used == len(o.chunks)*o.chunkLines {
+			o.chunks = append(o.chunks, make([][LineSize]byte, o.chunkLines))
+		}
+		s = int32(o.used)
+		o.used++
+	}
+	o.index[p][i] = s + 1
+	o.n++
+	return o.slot(s)
+}
+
+// remove marks the dirty line li clean, releasing its slab slot.
+func (o *overlay) remove(li int) {
+	p, i := o.page(li)
+	o.free = append(o.free, o.index[p][i]-1)
+	o.index[p][i] = 0
+	o.n--
+}
+
+// each calls fn on every dirty line in [first, last], in ascending order.
+func (o *overlay) each(first, last int, fn func(li int, line *[LineSize]byte)) {
+	for li := first; li <= last; {
+		p, i := o.page(li)
+		if p >= len(o.index) {
+			return
+		}
+		page := o.index[p]
+		if page == nil {
+			li += 1<<o.pageShift - i // skip the clean page
+			continue
+		}
+		if page[i] != 0 {
+			fn(li, o.slot(page[i]-1))
+		}
+		li++
+	}
 }

@@ -1,6 +1,7 @@
 package tcpkv
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -34,8 +35,9 @@ const DefaultPipelineDepth = 16
 // Client is a TCP-mode eFactory client implementing the client-active
 // write scheme and the hybrid read scheme over two connections: a
 // pipelined RPC channel that carries many requests in flight at once
-// (sequence-tagged frames, demultiplexed by a reader goroutine) and a
-// lock-step one-sided channel. Methods are safe for concurrent use;
+// (sequence-tagged frames, write-combined by a writer goroutine and
+// demultiplexed by a reader goroutine) and a one-sided channel that
+// carries one doorbell burst at a time. Methods are safe for concurrent use;
 // concurrent RPCs share the pipelined connection instead of queueing
 // behind each other.
 type Client struct {
@@ -49,13 +51,12 @@ type Client struct {
 	pipeDepth int
 	gen       uint64 // bumped per reconnect; concurrent retriers share one redial
 	pipe      *pipe
-	osConn    net.Conn
+	os        osLink
 
-	// osMu serializes the one-sided channel: its frames are lock-step
-	// request/response (or a batched burst of them). osAck is the reused
-	// ack-frame read buffer, guarded by osMu.
-	osMu  sync.Mutex
-	osAck []byte
+	// osMu serializes the one-sided channel: a burst's requests go out
+	// with one Write and all its responses are read back before the next
+	// burst starts.
+	osMu sync.Mutex
 
 	tableRKey    uint32 // shard 0's table rkey; shard s adds rkeysPerShard*s
 	poolRKeyBase uint32 // shard 0's pools; shard s pool i is poolRKeyBase + rkeysPerShard*s + i
@@ -107,26 +108,25 @@ type Client struct {
 	tracer *trace.Tracer
 }
 
-// pipe is one pipelined RPC connection: a writer goroutine serializes
-// sequence-tagged request frames onto the socket, and a reader goroutine
+// pipe is one pipelined RPC connection. Callers append their framed,
+// sequence-tagged requests to a write-combining buffer and kick the
+// writer goroutine, which swaps that buffer for its spare and puts
+// everything queued on the socket with one Write; a reader goroutine
 // demultiplexes responses back to the callers waiting on them by sequence
 // number, so the connection carries up to depth RPCs in flight at once.
 type pipe struct {
 	conn    net.Conn
 	timeout func() time.Duration // per-call bound, read at call time
 
-	wq   chan pipeFrame
+	kick chan struct{} // cap 1: "wbuf has frames"
 	done chan struct{}
 	sem  chan struct{} // bounds in-flight calls to the pipeline depth
 
 	mu      sync.Mutex
+	wbuf    []byte // framed requests not yet handed to the writer
 	pending map[uint32]chan pipeResult
 	seq     uint32
 	err     error
-}
-
-type pipeFrame struct {
-	frame []byte // [len][seq][msg], fully encoded by the caller
 }
 
 type pipeResult struct {
@@ -136,10 +136,12 @@ type pipeResult struct {
 }
 
 // callSlot is one pooled RPC call context: the request-frame scratch the
-// writer sends as-is (zero copies on the write side) and the reusable
-// completion channel. Slots live in a package-level pool rather than on
-// the pipe, so scratch reuse survives reconnect generations — a client
-// that redials keeps its warmed buffers.
+// caller encodes into and the reusable completion channel. The frame is
+// copied into the pipe's write-combining buffer under pipe.mu, so no
+// other goroutine ever reads it: the caller may reuse it the moment call
+// returns. Slots live in a package-level pool rather than on the pipe, so
+// scratch reuse survives reconnect generations — a client that redials
+// keeps its warmed buffers.
 type callSlot struct {
 	frame []byte
 	ch    chan pipeResult
@@ -172,7 +174,7 @@ func newPipe(conn net.Conn, depth int, timeout func() time.Duration) *pipe {
 	p := &pipe{
 		conn:    conn,
 		timeout: timeout,
-		wq:      make(chan pipeFrame, depth),
+		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		sem:     make(chan struct{}, depth),
 		pending: make(map[uint32]chan pipeResult),
@@ -182,42 +184,56 @@ func newPipe(conn net.Conn, depth int, timeout func() time.Duration) *pipe {
 	return p
 }
 
-// writer owns the socket's write side. Frames are [len][seq][msg] with the
-// length prefix covering the 4-byte sequence tag. Each write runs under
-// the shared attemptDeadline discipline (arm, write, clear) — nothing
-// further is owed on the write side until the next request, and a stale
-// deadline would poison an idle connection.
+// writer owns the socket's write side. On each kick it takes everything
+// callers have queued — swapping the write-combining buffer for its
+// spare, so callers keep appending while it writes — and sends it with
+// one Write. Frames are [len][seq][msg] with the length prefix covering
+// the 4-byte sequence tag. Each write runs under the shared
+// attemptDeadline discipline (arm, write, clear) — nothing further is
+// owed on the write side until the next request, and a stale deadline
+// would poison an idle connection.
 func (p *pipe) writer() {
+	var spare []byte
 	for {
 		select {
 		case <-p.done:
 			return
-		case f := <-p.wq:
-			// f.frame is the caller's slot scratch, already fully framed;
-			// the caller keeps the slot checked out until its response
-			// arrives (which the server cannot send before this Write
-			// completes), so writing it directly is race-free and the
-			// write side copies nothing.
+		case <-p.kick:
+		}
+		p.mu.Lock()
+		buf := p.wbuf
+		p.wbuf = spare
+		p.mu.Unlock()
+		if len(buf) > 0 {
 			dl := attemptDeadline{set: p.conn.SetWriteDeadline, d: p.timeout()}
 			if err := dl.guard(func() error {
-				_, err := p.conn.Write(f.frame)
+				_, err := p.conn.Write(buf)
 				return err
 			}); err != nil {
 				p.fail(err)
 				return
 			}
 		}
+		// Keep the drained buffer as the next spare unless one outsized
+		// request grew it past what a burst needs.
+		spare = nil
+		if cap(buf) <= burstBufSize {
+			spare = buf[:0]
+		}
 	}
 }
 
-// reader demultiplexes responses to waiting callers. It reads with no
-// deadline: an idle pipelined connection must be able to sit quietly
-// between bursts without spuriously timing out. Timeliness is enforced
-// per call in call(), where a caller that stops waiting kills the pipe.
+// reader demultiplexes responses to waiting callers through a buffered
+// reader, so a run of responses that arrived together costs one read
+// syscall. It reads with no deadline: an idle pipelined connection must
+// be able to sit quietly between bursts without spuriously timing out.
+// Timeliness is enforced per call in call(), where a caller that stops
+// waiting kills the pipe.
 func (p *pipe) reader() {
+	br := bufio.NewReaderSize(p.conn, burstBufSize)
 	for {
 		bp := frameBufPool.Get().(*[]byte)
-		raw, err := readFrameInto(p.conn, *bp)
+		raw, err := readFrameInto(br, *bp)
 		if err != nil {
 			frameBufPool.Put(bp)
 			p.fail(err)
@@ -274,16 +290,17 @@ func (p *pipe) forget(seq uint32) {
 
 // call issues one RPC from a prepared slot and waits for its response.
 // cs.frame must hold the 8-byte [len][seq] placeholder (callSlot.begin)
-// followed by the encoded message; call fills the placeholder. The
+// followed by the encoded message; call stamps the placeholder and
+// copies the frame into the write-combining buffer under p.mu. The
 // sequence number is the call's identity on the shared connection: an op
 // retried after a failure re-enters a fresh pipe under a fresh sequence,
 // so acknowledged sequences are never replayed.
 //
-// clean reports whether the slot completed its exchange (a result —
-// success or error — was received on cs.ch): only then may the caller
-// return cs to the pool. On the timeout/shutdown paths the writer or
-// reader may still touch the slot's frame or channel, so the slot must
-// be abandoned to the GC.
+// clean reports whether the slot's channel completed its exchange (a
+// result — success or error — was received on cs.ch): only then may the
+// caller return cs to the pool. On the timeout/shutdown paths the reader
+// or fail may still send on cs.ch, so the slot must be abandoned to the
+// GC. The frame itself is never shared, whatever the outcome.
 func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	select {
 	case p.sem <- struct{}{}:
@@ -300,15 +317,13 @@ func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	p.seq++
 	seq := p.seq
 	p.pending[seq] = cs.ch
-	p.mu.Unlock()
 	binary.BigEndian.PutUint32(cs.frame, uint32(len(cs.frame)-4))
 	binary.BigEndian.PutUint32(cs.frame[4:], seq)
-
+	p.wbuf = append(p.wbuf, cs.frame...)
+	p.mu.Unlock()
 	select {
-	case p.wq <- pipeFrame{frame: cs.frame}:
-	case <-p.done:
-		p.forget(seq)
-		return pipeResult{err: p.failure()}, false
+	case p.kick <- struct{}{}:
+	default: // a kick is already pending; the writer will take this frame too
 	}
 
 	var expired <-chan time.Time
@@ -342,7 +357,7 @@ func (c *Client) dialLocked() error {
 		return err
 	}
 	c.pipe = newPipe(rpcConn, c.pipeDepth, c.callTimeout)
-	c.osConn = osConn
+	c.os = osLink{conn: osConn, r: bufio.NewReaderSize(osConn, burstBufSize)}
 	return nil
 }
 
@@ -395,7 +410,7 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pipe.fail(net.ErrClosed)
-	return c.osConn.Close()
+	return c.os.conn.Close()
 }
 
 // SetHybridRead toggles the hybrid read scheme.
@@ -450,7 +465,7 @@ func (c *Client) SetPipelineDepth(n int) error {
 	defer c.mu.Unlock()
 	c.pipeDepth = n
 	c.pipe.fail(net.ErrClosed)
-	c.osConn.Close()
+	c.os.conn.Close()
 	if err := c.dialLocked(); err != nil {
 		return err
 	}
@@ -470,7 +485,7 @@ func (c *Client) reconnect(genSeen uint64) (uint64, error) {
 		return c.gen, nil // another op's retry already reconnected
 	}
 	c.pipe.fail(net.ErrClosed)
-	c.osConn.Close()
+	c.os.conn.Close()
 	if err := c.dialLocked(); err != nil {
 		return c.gen, err
 	}
@@ -515,150 +530,160 @@ func (c *Client) rpcShared(req *wire.Msg) (wire.Msg, *[]byte, error) {
 	return m, r.raw, nil
 }
 
-// osExchange writes the given one-sided frames back-to-back and then reads
-// one response frame per request — the one-sided channel's doorbell batch.
-// One attemptDeadline covers the whole exchange, same discipline as the
-// pipelined channel's writer.
-func (c *Client) osExchange(frames [][]byte) ([][]byte, error) {
+// osLink is the one-sided connection and the buffered reader its
+// responses are consumed through; replaced whole on reconnect.
+type osLink struct {
+	conn net.Conn
+	r    *bufio.Reader
+}
+
+// osBurst is one doorbell burst on the one-sided channel: its request
+// frames are encoded back to back and posted with one Write, and the
+// responses are read, in order, into one arena. A burst is checked out
+// of osBurstPool per call rather than kept per client: the response
+// views a caller decodes outlive the channel lock (osMu), and concurrent
+// callers each need their own.
+type osBurst struct {
+	req   []byte // framed requests
+	n     int    // request count
+	arena []byte // response payloads back to back, each status byte first
+	ends  []int  // ends[i] is response i's end offset in arena
+}
+
+var osBurstPool = sync.Pool{New: func() any {
+	return &osBurst{req: make([]byte, 0, 1024), arena: make([]byte, 0, 4096)}
+}}
+
+// getBurst checks an empty burst out of the pool. putBurst returns it
+// once nothing aliases its arena any more.
+func getBurst() *osBurst {
+	b := osBurstPool.Get().(*osBurst)
+	b.reset()
+	return b
+}
+
+func putBurst(b *osBurst) { osBurstPool.Put(b) }
+
+func (b *osBurst) reset() {
+	b.req, b.n, b.arena, b.ends = b.req[:0], 0, b.arena[:0], b.ends[:0]
+}
+
+// add appends one framed request: the length prefix, the opcode, the
+// (rkey, offset, length) triple, then data (a WRITE's payload).
+func (b *osBurst) add(op byte, rkey uint32, off uint64, length int, data []byte) {
+	var hdr [21]byte
+	binary.BigEndian.PutUint32(hdr[0:], uint32(17+len(data)))
+	hdr[4] = op
+	binary.BigEndian.PutUint32(hdr[5:], rkey)
+	binary.BigEndian.PutUint64(hdr[9:], off)
+	binary.BigEndian.PutUint32(hdr[17:], uint32(length))
+	b.req = append(append(b.req, hdr[:]...), data...)
+	b.n++
+}
+
+// read queues a one-sided READ of length bytes at (rkey, off).
+func (b *osBurst) read(rkey uint32, off uint64, length int) {
+	b.add(opRead, rkey, off, length, nil)
+}
+
+// write queues a one-sided WRITE of data at (rkey, off).
+func (b *osBurst) write(rkey uint32, off uint64, data []byte) {
+	b.add(opWrite, rkey, off, len(data), data)
+}
+
+// resp returns response i's data and whether it was ACKed; a NAK means
+// the addressed region did not resolve. The data aliases the arena.
+func (b *osBurst) resp(i int) ([]byte, bool) {
+	start := 0
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	r := b.arena[start:b.ends[i]]
+	if len(r) < 1 || r[0] != 1 {
+		return nil, false
+	}
+	return r[1:], true
+}
+
+// entry decodes response i as a hash-table entry; false on a NAK or a
+// reply too short to hold one.
+func (b *osBurst) entry(i int) (kv.Entry, bool) {
+	data, ok := b.resp(i)
+	if !ok || len(data) < kv.EntrySize {
+		return kv.Entry{}, false
+	}
+	return kv.DecodeEntry(data), true
+}
+
+// acked reports whether every response in the burst was an ACK.
+func (b *osBurst) acked() bool {
+	for i := 0; i < b.n; i++ {
+		if _, ok := b.resp(i); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// exchange posts b's requests with one Write and reads one response per
+// request into b's arena: the one-sided channel's doorbell batch. One
+// attemptDeadline covers the whole exchange. A failed exchange closes the
+// connection — its byte stream may hold half a burst — so the next op
+// redials instead of reading stale responses.
+func (c *Client) exchange(b *osBurst) error {
+	if b.n == 0 {
+		return nil
+	}
 	c.mu.Lock()
-	conn := c.osConn
-	dl := attemptDeadline{set: conn.SetDeadline, d: c.retry.Timeout}
+	link := c.os
+	dl := attemptDeadline{set: link.conn.SetDeadline, d: c.retry.Timeout}
 	c.mu.Unlock()
 	c.osMu.Lock()
 	defer c.osMu.Unlock()
-	var resps [][]byte
 	err := dl.guard(func() error {
-		for _, f := range frames {
-			if err := writeFrame(conn, f); err != nil {
-				return err
-			}
+		if _, err := link.conn.Write(b.req); err != nil {
+			return err
 		}
-		resps = make([][]byte, len(frames))
-		for i := range resps {
-			r, err := readFrame(conn)
-			if err != nil {
+		b.arena, b.ends = b.arena[:0], b.ends[:0]
+		for i := 0; i < b.n; i++ {
+			var err error
+			if b.arena, err = appendFrame(link.r, b.arena); err != nil {
 				return err
 			}
-			resps[i] = r
+			b.ends = append(b.ends, len(b.arena))
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		link.conn.Close()
 	}
-	return resps, nil
-}
-
-// osReadFrame encodes a one-sided READ of length bytes at (rkey, off).
-func osReadFrame(rkey uint32, off uint64, length int) []byte {
-	frame := make([]byte, 17)
-	frame[0] = opRead
-	binary.BigEndian.PutUint32(frame[1:], rkey)
-	binary.BigEndian.PutUint64(frame[5:], off)
-	binary.BigEndian.PutUint32(frame[13:], uint32(length))
-	return frame
-}
-
-// osWriteFrame encodes a one-sided WRITE of data at (rkey, off).
-func osWriteFrame(rkey uint32, off uint64, data []byte) []byte {
-	frame := make([]byte, 17+len(data))
-	frame[0] = opWrite
-	binary.BigEndian.PutUint32(frame[1:], rkey)
-	binary.BigEndian.PutUint64(frame[5:], off)
-	binary.BigEndian.PutUint32(frame[13:], uint32(len(data)))
-	copy(frame[17:], data)
-	return frame
-}
-
-// read performs a one-sided READ of length bytes at (rkey, off).
-func (c *Client) read(rkey uint32, off uint64, length int) ([]byte, error) {
-	resps, err := c.osExchange([][]byte{osReadFrame(rkey, off, length)})
-	if err != nil {
-		return nil, err
-	}
-	if len(resps[0]) < 1 || resps[0][0] != 1 {
-		return nil, errors.New("tcpkv: one-sided read NAK")
-	}
-	return resps[0][1:], nil
-}
-
-// write performs a one-sided WRITE of data at (rkey, off).
-func (c *Client) write(rkey uint32, off uint64, data []byte) error {
-	bs := burstScratchPool.Get().(*burstScratch)
-	bs.buf = osAppendWrite(bs.buf[:0], rkey, off, data)
-	err := c.osWriteBurst(bs.buf, 1)
-	burstScratchPool.Put(bs)
 	return err
 }
 
-// writeBatch posts every WRITE frame before waiting on any completion.
-func (c *Client) writeBatch(frames [][]byte) error {
-	if len(frames) == 0 {
-		return nil
+// read performs a single one-sided READ of length bytes at (rkey, off)
+// through b (reset first); the returned bytes alias b's arena.
+func (c *Client) read(b *osBurst, rkey uint32, off uint64, length int) ([]byte, error) {
+	b.reset()
+	b.read(rkey, off, length)
+	if err := c.exchange(b); err != nil {
+		return nil, err
 	}
-	resps, err := c.osExchange(frames)
-	if err != nil {
+	data, ok := b.resp(0)
+	if !ok {
+		return nil, errors.New("tcpkv: one-sided read NAK")
+	}
+	return data, nil
+}
+
+// writeBurst posts b's WRITEs as one burst and checks every ack.
+func (c *Client) writeBurst(b *osBurst) error {
+	if err := c.exchange(b); err != nil {
 		return err
 	}
-	for _, r := range resps {
-		if len(r) < 1 || r[0] != 1 {
-			return errors.New("tcpkv: one-sided write NAK")
-		}
+	if !b.acked() {
+		return errors.New("tcpkv: one-sided write NAK")
 	}
 	return nil
-}
-
-// burstScratch is a pooled builder for pre-framed one-sided WRITE
-// bursts; pooled package-wide so the warmed buffer survives reconnects.
-type burstScratch struct{ buf []byte }
-
-var burstScratchPool = sync.Pool{New: func() any {
-	return &burstScratch{buf: make([]byte, 0, 4096)}
-}}
-
-// osAppendWrite appends one framed one-sided WRITE (length prefix
-// included) to buf, so a doorbell burst becomes a single contiguous
-// buffer written with one syscall.
-func osAppendWrite(buf []byte, rkey uint32, off uint64, data []byte) []byte {
-	var hdr [21]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(17+len(data)))
-	hdr[4] = opWrite
-	binary.BigEndian.PutUint32(hdr[5:], rkey)
-	binary.BigEndian.PutUint64(hdr[9:], off)
-	binary.BigEndian.PutUint32(hdr[17:], uint32(len(data)))
-	buf = append(buf, hdr[:]...)
-	return append(buf, data...)
-}
-
-// osWriteBurst writes a pre-framed burst of n one-sided WRITEs with one
-// syscall and consumes one ack frame per write. The ack buffer is
-// per-client scratch guarded by osMu.
-func (c *Client) osWriteBurst(burst []byte, n int) error {
-	if n == 0 {
-		return nil
-	}
-	c.mu.Lock()
-	conn := c.osConn
-	dl := attemptDeadline{set: conn.SetDeadline, d: c.retry.Timeout}
-	c.mu.Unlock()
-	c.osMu.Lock()
-	defer c.osMu.Unlock()
-	return dl.guard(func() error {
-		if _, err := conn.Write(burst); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			r, err := readFrameInto(conn, c.osAck)
-			if err != nil {
-				return err
-			}
-			c.osAck = r[:0]
-			if len(r) < 1 || r[0] != 1 {
-				return errors.New("tcpkv: one-sided write NAK")
-			}
-		}
-		return nil
-	})
 }
 
 func (c *Client) bump(field *int) {
@@ -753,7 +778,10 @@ func (c *Client) putCtx(tc *trace.Ctx, key, value []byte) error {
 		c.noteLocation(key, resp.RKey, resp.Off, int(resp.Len), len(key), 0, false)
 		c.predNotePut(kv.HashKey(key))
 		tW := traceNow(tc)
-		err = c.write(resp.RKey, resp.Off+uint64(kv.ValueOffset(len(key))), value)
+		b := getBurst()
+		b.write(resp.RKey, resp.Off+uint64(kv.ValueOffset(len(key))), value)
+		err = c.writeBurst(b)
+		putBurst(b)
 		tc.Add("doorbell_write", tW, traceNow(tc))
 		return err
 	})
@@ -797,14 +825,13 @@ func (c *Client) PutBatchInto(keys, values [][]byte, errs []error) []error {
 }
 
 // putBatchScratch holds one PutBatch call's reusable buffers: the op
-// list, its encoded payload, the decoded grants, and the one-sided WRITE
-// burst. Pooled package-wide, so the warmed buffers survive reconnects
-// and concurrent batches each check out their own.
+// list, its encoded payload, and the decoded grants. Pooled
+// package-wide, so the warmed buffers survive reconnects and concurrent
+// batches each check out their own.
 type putBatchScratch struct {
 	ops    []wire.PutOp
 	opsBuf []byte
 	grants []wire.PutGrant
-	wbuf   []byte
 }
 
 var putBatchScratchPool = sync.Pool{New: func() any { return &putBatchScratch{} }}
@@ -854,25 +881,22 @@ func (c *Client) putBatchCtx(tc *trace.Ctx, keys, values [][]byte, errs []error)
 		if len(grants) != len(keys) {
 			return fmt.Errorf("tcpkv: put batch returned %d grants for %d ops", len(grants), len(keys))
 		}
-		wbuf := sc.wbuf[:0]
-		n := 0
+		b := getBurst()
+		defer putBurst(b)
 		for i, g := range grants {
 			switch g.Status {
 			case wire.StOK:
 				c.noteLocation(keys[i], g.RKey, g.Off, int(g.Len), len(keys[i]), 0, false)
 				c.predNotePut(kv.HashKey(keys[i]))
-				off := g.Off + uint64(kv.ValueOffset(len(keys[i])))
-				wbuf = osAppendWrite(wbuf, g.RKey, off, values[i])
-				n++
+				b.write(g.RKey, g.Off+uint64(kv.ValueOffset(len(keys[i]))), values[i])
 			case wire.StFull:
 				errs[i] = ErrServerFull
 			default:
 				errs[i] = fmt.Errorf("tcpkv: put status %d", g.Status)
 			}
 		}
-		sc.wbuf = wbuf
 		tW := traceNow(tc)
-		werr := c.osWriteBurst(wbuf, n)
+		werr := c.writeBurst(b)
 		tc.Add("doorbell_write", tW, traceNow(tc))
 		return werr
 	})
@@ -893,8 +917,12 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 	return out, err
 }
 
-// getCtx is Get's body under a caller-owned trace context.
+// getCtx is Get's body under a caller-owned trace context. One burst
+// carries every one-sided exchange of the call; the value is copied out
+// of its arena before the burst goes back to the pool.
 func (c *Client) getCtx(tc *trace.Ctx, key []byte) ([]byte, error) {
+	b := getBurst()
+	defer putBurst(b)
 	var out []byte
 	err := c.retrying(func() error {
 		if c.hybrid && c.predPreempt(kv.HashKey(key)) {
@@ -902,7 +930,7 @@ func (c *Client) getCtx(tc *trace.Ctx, key []byte) ([]byte, error) {
 			// optimistic fetch would bounce, so spend the round trip on
 			// the authoritative path directly.
 			c.bump(&c.AdaptivePreempts)
-			val, err := c.rpcRead(tc, key)
+			val, err := c.rpcRead(tc, b, key)
 			if err != nil {
 				return err
 			}
@@ -911,7 +939,7 @@ func (c *Client) getCtx(tc *trace.Ctx, key []byte) ([]byte, error) {
 		}
 		if c.hybrid {
 			if c.hints != nil {
-				val, verdict, err := c.hintedRead(tc, key)
+				val, verdict, err := c.hintedRead(tc, b, key)
 				if err != nil {
 					return err
 				}
@@ -924,7 +952,7 @@ func (c *Client) getCtx(tc *trace.Ctx, key []byte) ([]byte, error) {
 				case hrFallback:
 					c.bump(&c.FallbackReads)
 					c.predObserve(false)
-					val, err := c.rpcRead(tc, key)
+					val, err := c.rpcRead(tc, b, key)
 					if err != nil {
 						return err
 					}
@@ -933,7 +961,7 @@ func (c *Client) getCtx(tc *trace.Ctx, key []byte) ([]byte, error) {
 				}
 				// hrMiss: no usable hint — run the probe walk below.
 			}
-			val, ok, err := c.pureRead(tc, key)
+			val, ok, err := c.pureRead(tc, b, key)
 			if err != nil {
 				return err
 			}
@@ -948,7 +976,7 @@ func (c *Client) getCtx(tc *trace.Ctx, key []byte) ([]byte, error) {
 		} else {
 			c.bump(&c.RPCReads)
 		}
-		val, err := c.rpcRead(tc, key)
+		val, err := c.rpcRead(tc, b, key)
 		if err != nil {
 			return err
 		}
@@ -962,7 +990,7 @@ func (c *Client) getCtx(tc *trace.Ctx, key []byte) ([]byte, error) {
 }
 
 // pureRead is the optimistic one-sided path; ok is false on fallback.
-func (c *Client) pureRead(tc *trace.Ctx, key []byte) (val []byte, ok bool, err error) {
+func (c *Client) pureRead(tc *trace.Ctx, b *osBurst, key []byte) (val []byte, ok bool, err error) {
 	keyHash := kv.HashKey(key)
 	tableRKey, poolBase := c.shardRKeysFor(keyHash)
 	idx := int(keyHash % uint64(c.buckets))
@@ -972,11 +1000,15 @@ func (c *Client) pureRead(tc *trace.Ctx, key []byte) (val []byte, ok bool, err e
 	tProbe := traceNow(tc)
 	for probe := 0; probe < 4; probe++ {
 		bucket := (idx + probe) % c.buckets
-		raw, err := c.read(tableRKey, uint64(bucket*kv.EntrySize), kv.EntrySize)
-		if err != nil {
+		b.reset()
+		b.read(tableRKey, uint64(bucket*kv.EntrySize), kv.EntrySize)
+		if err := c.exchange(b); err != nil {
 			return nil, false, err
 		}
-		e := kv.DecodeEntry(raw)
+		e, ok := b.entry(0)
+		if !ok {
+			return nil, false, errors.New("tcpkv: one-sided read NAK")
+		}
 		if e.KeyHash == 0 {
 			if c.epoch.Load() != 0 {
 				// Clustered: an empty bucket may mean the key migrated away
@@ -1001,20 +1033,13 @@ func (c *Client) pureRead(tc *trace.Ctx, key []byte) (val []byte, ok bool, err e
 	}
 	off, totalLen, _ := kv.UnpackLoc(entry.Current())
 	tObj := traceNow(tc)
-	obj, err := c.read(poolBase+uint32(entry.Mark()&1), off, totalLen)
+	obj, err := c.read(b, poolBase+uint32(entry.Mark()&1), off, totalLen)
 	tc.Add("object_read", tObj, traceNow(tc))
 	if err != nil {
 		return nil, false, err
 	}
-	h := kv.DecodeHeader(obj)
-	if h.Magic != kv.Magic || !h.Valid() || !h.Durable() {
-		return nil, false, nil
-	}
-	if h.KLen != len(key) || string(obj[kv.KeyOffset():kv.KeyOffset()+h.KLen]) != string(key) {
-		return nil, false, nil
-	}
-	vo := kv.ValueOffset(h.KLen)
-	if vo+h.VLen > len(obj) {
+	h, v, st := kv.CheckObject(obj, key, true)
+	if st != kv.ObjOK {
 		return nil, false, nil
 	}
 	if c.hints != nil {
@@ -1023,17 +1048,20 @@ func (c *Client) pureRead(tc *trace.Ctx, key []byte) (val []byte, ok bool, err e
 			KLen: h.KLen, Seq: h.Seq, Durable: true,
 		})
 	}
-	return append([]byte(nil), obj[vo:vo+h.VLen]...), true, nil
+	return append([]byte(nil), v...), true, nil
 }
 
 // rpcRead is the RPC+one-sided fallback.
-func (c *Client) rpcRead(tc *trace.Ctx, key []byte) ([]byte, error) {
+func (c *Client) rpcRead(tc *trace.Ctx, b *osBurst, key []byte) ([]byte, error) {
 	tRPC := traceNow(tc)
-	resp, err := c.rpc(wire.Msg{Type: wire.TGet, Trace: tc.ID(), Token: uint32(c.epoch.Load()), Key: key})
+	req := wire.Msg{Type: wire.TGet, Trace: tc.ID(), Token: uint32(c.epoch.Load()), Key: key}
+	resp, raw, err := c.rpcShared(&req)
 	tc.Add("get_rpc", tRPC, traceNow(tc))
 	if err != nil {
 		return nil, err
 	}
+	// TGetResp carries scalars only — nothing aliases the buffer.
+	releaseResp(raw)
 	if resp.Status == wire.StNotFound {
 		return nil, ErrNotFound
 	}
@@ -1044,20 +1072,19 @@ func (c *Client) rpcRead(tc *trace.Ctx, key []byte) ([]byte, error) {
 		return nil, fmt.Errorf("tcpkv: get status %d", resp.Status)
 	}
 	tObj := traceNow(tc)
-	obj, err := c.read(resp.RKey, resp.Off, int(resp.Len))
+	obj, err := c.read(b, resp.RKey, resp.Off, int(resp.Len))
 	tc.Add("object_read", tObj, traceNow(tc))
 	if err != nil {
 		return nil, err
 	}
-	h := kv.DecodeHeader(obj)
-	vo := kv.ValueOffset(h.KLen)
-	if h.Magic != kv.Magic || vo+h.VLen > len(obj) {
+	h, v, st := kv.CheckObject(obj, key, false)
+	if st != kv.ObjOK {
 		return nil, errors.New("tcpkv: corrupt object from server")
 	}
 	// The server only grants durable versions, so the hint is warm for the
 	// next optimistic read.
 	c.noteLocation(key, resp.RKey, resp.Off, int(resp.Len), h.KLen, h.Seq, true)
-	return append([]byte(nil), obj[vo:vo+h.VLen]...), nil
+	return append([]byte(nil), v...), nil
 }
 
 // ServerStats fetches the server's counters.

@@ -62,7 +62,7 @@ const (
 // speculative bytes are accepted only if the entry still names that exact
 // location; otherwise the object is re-fetched from where the entry points
 // before the usual durability/key checks.
-func (c *Client) hintedRead(tc *trace.Ctx, key []byte) ([]byte, int, error) {
+func (c *Client) hintedRead(tc *trace.Ctx, b *osBurst, key []byte) ([]byte, int, error) {
 	keyHash := kv.HashKey(key)
 	shard := cluster.ShardOf(keyHash, c.shards)
 	h, ok := c.hints.Lookup(shard, key)
@@ -80,21 +80,21 @@ func (c *Client) hintedRead(tc *trace.Ctx, key []byte) ([]byte, int, error) {
 		slot = int(keyHash % uint64(c.buckets)) // probe-0 guess
 	}
 	tRead := traceNow(tc)
-	resps, err := c.osExchange([][]byte{
-		osReadFrame(tableRKey, uint64(slot*kv.EntrySize), kv.EntrySize),
-		osReadFrame(h.Pool, h.Off, h.Len),
-	})
+	b.reset()
+	b.read(tableRKey, uint64(slot*kv.EntrySize), kv.EntrySize)
+	b.read(h.Pool, h.Off, h.Len)
+	err := c.exchange(b)
 	tc.Add("doorbell_read", tRead, traceNow(tc))
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(resps[0]) < 1+kv.EntrySize || resps[0][0] != 1 || len(resps[1]) < 1 || resps[1][0] != 1 {
+	e, eok := b.entry(0)
+	obj, ook := b.resp(1)
+	if !eok || !ook {
 		// NAKed: the hinted region no longer resolves (relayout, bad hint).
 		c.hints.Invalidate(shard, key)
 		return nil, hrMiss, nil
 	}
-	e := kv.DecodeEntry(resps[0][1:])
-	obj := resps[1][1:]
 	if e.KeyHash != keyHash || e.Free() {
 		// Wrong slot (cleaning or churn moved the entry): probe normally.
 		c.hints.Invalidate(shard, key)
@@ -111,22 +111,17 @@ func (c *Client) hintedRead(tc *trace.Ctx, key []byte) ([]byte, int, error) {
 		// entry names the current location — fetch that instead.
 		c.hints.Invalidate(shard, key)
 		tObj := traceNow(tc)
-		obj, err = c.read(pool, off, tlen)
+		obj, err = c.read(b, pool, off, tlen)
 		tc.Add("object_read", tObj, traceNow(tc))
 		if err != nil {
 			return nil, 0, err
 		}
 	}
-	hd := kv.DecodeHeader(obj)
-	if hd.Magic != kv.Magic || !hd.Valid() || !hd.Durable() {
+	hd, v, st := kv.CheckObject(obj, key, true)
+	switch st {
+	case kv.ObjUnsettled:
 		return nil, hrFallback, nil
-	}
-	if hd.KLen != len(key) || string(obj[kv.KeyOffset():kv.KeyOffset()+hd.KLen]) != string(key) {
-		c.hints.Invalidate(shard, key)
-		return nil, hrFallback, nil
-	}
-	vo := kv.ValueOffset(hd.KLen)
-	if vo+hd.VLen > len(obj) {
+	case kv.ObjMismatch:
 		c.hints.Invalidate(shard, key)
 		return nil, hrFallback, nil
 	}
@@ -134,7 +129,7 @@ func (c *Client) hintedRead(tc *trace.Ctx, key []byte) ([]byte, int, error) {
 		Slot: slot, Pool: pool, Off: off, Len: tlen, KLen: hd.KLen, Seq: hd.Seq, Durable: true,
 	})
 	c.bump(&c.HintedReads)
-	return append([]byte(nil), obj[vo:vo+hd.VLen]...), hrHit, nil
+	return append([]byte(nil), v...), hrHit, nil
 }
 
 // tgbPhase is the per-key step a GetBatch round just issued.
@@ -159,7 +154,6 @@ type tgbState struct {
 	hinted  hint.Entry
 	useHint bool
 	wantObj bool // entry resolved a location; object READ pending
-	obj     []byte
 	pool    uint32
 	off     uint64
 	tlen    int
@@ -257,10 +251,22 @@ func (c *Client) getBatchOnce(tc *trace.Ctx, keys [][]byte, vals [][]byte, errs 
 			c.hints.Invalidate(sts[i].shard, keys[i])
 		}
 	}
-	finish := func(i int, hd kv.Header) {
+	// validateObj applies the optimistic object checks to obj (a view of
+	// this round's burst) and either finishes the key or sends it to the
+	// RPC fallback.
+	validateObj := func(i int, obj []byte) {
 		st := &sts[i]
-		vo := kv.ValueOffset(hd.KLen)
-		vals[i] = append([]byte(nil), st.obj[vo:vo+hd.VLen]...)
+		hd, v, status := kv.CheckObject(obj, keys[i], true)
+		switch status {
+		case kv.ObjUnsettled:
+			fallback(i) // not completely durable: location may still be right
+			return
+		case kv.ObjMismatch:
+			invalidate(i)
+			fallback(i)
+			return
+		}
+		vals[i] = append([]byte(nil), v...)
 		done[i] = true
 		st.done = true
 		c.bump(&c.PureReads)
@@ -274,46 +280,31 @@ func (c *Client) getBatchOnce(tc *trace.Ctx, keys [][]byte, vals [][]byte, errs 
 			})
 		}
 	}
-	validateObj := func(i int) {
-		st := &sts[i]
-		hd := kv.DecodeHeader(st.obj)
-		if hd.Magic != kv.Magic || !hd.Valid() || !hd.Durable() {
-			fallback(i) // not completely durable: location may still be right
-			return
-		}
-		k := keys[i]
-		if hd.KLen != len(k) || string(st.obj[kv.KeyOffset():kv.KeyOffset()+hd.KLen]) != string(k) {
-			invalidate(i)
-			fallback(i)
-			return
-		}
-		if kv.ValueOffset(hd.KLen)+hd.VLen > len(st.obj) {
-			invalidate(i)
-			fallback(i)
-			return
-		}
-		finish(i, hd)
-	}
 
+	// One burst carries every round: its arena holds the round's
+	// responses until the next round resets it, and every view taken from
+	// it is consumed (copied or decoded) within the round.
+	b := getBurst()
+	defer putBurst(b)
 	type issued struct {
-		i      int
-		frames int // 1 (entry or object) or 2 (hinted entry+object pair)
+		i     int
+		first int // index of the key's first response in the burst
 	}
 	var acted []issued
 	for hybrid {
-		var frames [][]byte
+		b.reset()
 		acted = acted[:0]
 		for i := range sts {
 			st := &sts[i]
 			if st.done || st.fallback {
 				continue
 			}
+			acted = append(acted, issued{i, b.n})
 			switch {
 			case st.wantObj:
 				st.wantObj = false
 				st.phase = tgbObject
-				frames = append(frames, osReadFrame(st.pool, st.off, st.tlen))
-				acted = append(acted, issued{i, 1})
+				b.read(st.pool, st.off, st.tlen)
 			case st.useHint && st.phase == tgbIdle:
 				st.phase = tgbHinted
 				slot := st.hinted.Slot
@@ -322,55 +313,32 @@ func (c *Client) getBatchOnce(tc *trace.Ctx, keys [][]byte, vals [][]byte, errs 
 				}
 				st.slot = slot
 				st.pool, st.off, st.tlen = st.hinted.Pool, st.hinted.Off, st.hinted.Len
-				frames = append(frames,
-					osReadFrame(st.table, uint64(slot*kv.EntrySize), kv.EntrySize),
-					osReadFrame(st.pool, st.off, st.tlen))
-				acted = append(acted, issued{i, 2})
+				b.read(st.table, uint64(slot*kv.EntrySize), kv.EntrySize)
+				b.read(st.pool, st.off, st.tlen)
 			default:
 				st.phase = tgbEntry
 				st.slot = (int(st.keyHash%uint64(c.buckets)) + st.probe) % c.buckets
-				frames = append(frames, osReadFrame(st.table, uint64(st.slot*kv.EntrySize), kv.EntrySize))
-				acted = append(acted, issued{i, 1})
+				b.read(st.table, uint64(st.slot*kv.EntrySize), kv.EntrySize)
 			}
 		}
-		if len(frames) == 0 {
+		if b.n == 0 {
 			break
 		}
 		tRead := traceNow(tc)
-		resps, err := c.osExchange(frames)
+		err := c.exchange(b)
 		tc.Add("doorbell_read", tRead, traceNow(tc))
 		if err != nil {
 			return err
 		}
-		ri := 0
 		for _, a := range acted {
 			st := &sts[a.i]
-			mine := resps[ri : ri+a.frames]
-			ri += a.frames
-			naked := false
-			for _, r := range mine {
-				if len(r) < 1 || r[0] != 1 {
-					naked = true
-				}
-			}
-			if naked {
-				// A NAK means the addressed region no longer resolves; for
-				// a hinted key that is a stale hint, otherwise give up the
-				// optimistic path for this key.
-				if st.phase == tgbHinted {
-					invalidate(a.i)
-					st.phase, st.slot, st.probe, st.useHint = tgbIdle, -1, 0, false
-				} else {
-					fallback(a.i)
-				}
-				continue
-			}
 			switch st.phase {
 			case tgbHinted:
-				e := kv.DecodeEntry(mine[0][1:])
-				st.obj = mine[1][1:]
-				if e.KeyHash != st.keyHash || e.Free() {
-					// Wrong slot: hint is stale, run the probe walk.
+				e, eok := b.entry(a.first)
+				obj, ook := b.resp(a.first + 1)
+				if !eok || !ook || e.KeyHash != st.keyHash || e.Free() {
+					// NAKed region or wrong slot: the hint is stale, run
+					// the probe walk.
 					invalidate(a.i)
 					st.phase, st.slot, st.probe, st.useHint = tgbIdle, -1, 0, false
 					continue
@@ -383,7 +351,7 @@ func (c *Client) getBatchOnce(tc *trace.Ctx, keys [][]byte, vals [][]byte, errs 
 				off, tlen, _ := kv.UnpackLoc(e.Current())
 				pool := st.poolB + uint32(e.Mark()&1)
 				if off == st.off && tlen == st.tlen && pool == st.pool {
-					validateObj(a.i) // speculative bytes are the live version
+					validateObj(a.i, obj) // speculative bytes are the live version
 					continue
 				}
 				// Key moved: re-fetch from the entry's location next round.
@@ -391,8 +359,12 @@ func (c *Client) getBatchOnce(tc *trace.Ctx, keys [][]byte, vals [][]byte, errs 
 				st.pool, st.off, st.tlen = pool, off, tlen
 				st.wantObj = true
 			case tgbEntry:
-				e := kv.DecodeEntry(mine[0][1:])
+				e, ok := b.entry(a.first)
 				switch {
+				case !ok:
+					// A NAK means the addressed region no longer resolves:
+					// give up the optimistic path for this key.
+					fallback(a.i)
 				case e.KeyHash == 0:
 					if c.epoch.Load() != 0 {
 						// Clustered: absence must be confirmed by the owner
@@ -425,8 +397,12 @@ func (c *Client) getBatchOnce(tc *trace.Ctx, keys [][]byte, vals [][]byte, errs 
 					}
 				}
 			case tgbObject:
-				st.obj = mine[0][1:]
-				validateObj(a.i)
+				obj, ok := b.resp(a.first)
+				if !ok {
+					fallback(a.i)
+					continue
+				}
+				validateObj(a.i, obj)
 			}
 		}
 	}
@@ -469,13 +445,13 @@ func (c *Client) getBatchOnce(tc *trace.Ctx, keys [][]byte, vals [][]byte, errs 
 	if len(grants) != len(fbIdx) {
 		return fmt.Errorf("tcpkv: get batch returned %d grants for %d ops", len(grants), len(fbIdx))
 	}
-	var frames [][]byte
+	b.reset()
 	var rIdx []int
 	for j, g := range grants {
 		i := fbIdx[j]
 		switch g.Status {
 		case wire.StOK:
-			frames = append(frames, osReadFrame(g.RKey, g.Off, int(g.Len)))
+			b.read(g.RKey, g.Off, int(g.Len))
 			rIdx = append(rIdx, j)
 		case wire.StNotFound:
 			errs[i] = ErrNotFound
@@ -483,30 +459,28 @@ func (c *Client) getBatchOnce(tc *trace.Ctx, keys [][]byte, vals [][]byte, errs 
 			errs[i] = fmt.Errorf("tcpkv: get status %d", g.Status)
 		}
 	}
-	if len(frames) == 0 {
+	if b.n == 0 {
 		return nil
 	}
 	tRead := traceNow(tc)
-	resps, err := c.osExchange(frames)
+	err = c.exchange(b)
 	tc.Add("doorbell_read", tRead, traceNow(tc))
 	if err != nil {
 		return err
 	}
 	for n, j := range rIdx {
 		i, g := fbIdx[j], grants[j]
-		r := resps[n]
-		if len(r) < 1 || r[0] != 1 {
+		obj, ok := b.resp(n)
+		if !ok {
 			errs[i] = fmt.Errorf("tcpkv: one-sided read NAK for granted object at %d", g.Off)
 			continue
 		}
-		obj := r[1:]
-		hd := kv.DecodeHeader(obj)
-		vo := kv.ValueOffset(hd.KLen)
-		if hd.Magic != kv.Magic || vo+hd.VLen > len(obj) {
+		_, v, st := kv.CheckObject(obj, keys[i], false)
+		if st != kv.ObjOK {
 			errs[i] = fmt.Errorf("tcpkv: corrupt object from server at %d", g.Off)
 			continue
 		}
-		vals[i] = append([]byte(nil), obj[vo:vo+hd.VLen]...)
+		vals[i] = append([]byte(nil), v...)
 		done[i] = true
 		if c.hints != nil {
 			c.hints.Insert(sts[i].shard, keys[i], hint.Entry{

@@ -178,3 +178,89 @@ func BenchmarkPutBatch(b *testing.B) {
 		}
 	}
 }
+
+// settle waits until every key reads back one-sidedly: background
+// verification has flagged each durable, so the read benchmarks measure
+// the optimistic path, not its RPC fallback.
+func settle(b *testing.B, cl *Client, keys [][]byte) {
+	b.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		before := cl.FallbackReads
+		_, errs := cl.GetBatch(keys)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatalf("settle: %v", err)
+			}
+		}
+		if cl.FallbackReads == before {
+			return
+		}
+		if time.Now().After(deadline) {
+			b.Fatal("keys never settled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// reportAllocsPerKey reports the heap allocations of the timed loop per
+// key op, counted across all goroutines like -benchmem.
+func reportAllocsPerKey(b *testing.B, before *runtime.MemStats, keyOps int) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(keyOps), "allocs/key")
+}
+
+// BenchmarkGet measures the single-key hybrid GET over settled data: a
+// one-sided entry READ and a one-sided object READ, each one frame each
+// way. The returned value copy is the caller's, so one allocation per key
+// is the floor.
+func BenchmarkGet(b *testing.B) {
+	_, addr := startBenchServer(b)
+	cl := benchDial(b, addr)
+	keys, vals := benchKVs(256, 256)
+	for i, err := range cl.PutBatch(keys, vals) {
+		if err != nil {
+			b.Fatalf("put %d: %v", i, err)
+		}
+	}
+	settle(b, cl, keys)
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.Get(keys[i%len(keys)]); err != nil {
+			b.Fatalf("get %d: %v", i, err)
+		}
+	}
+	b.StopTimer()
+	reportAllocsPerKey(b, &before, b.N)
+}
+
+// BenchmarkGetBatch measures GetBatch(64) over settled data: one doorbell
+// burst per round (entry READs, then object READs), each one syscall each
+// way. Reported per op (one 64-key batch) and per key.
+func BenchmarkGetBatch(b *testing.B) {
+	const width = 64
+	_, addr := startBenchServer(b)
+	cl := benchDial(b, addr)
+	keys, vals := benchKVs(width, 256)
+	for i, err := range cl.PutBatch(keys, vals) {
+		if err != nil {
+			b.Fatalf("put %d: %v", i, err)
+		}
+	}
+	settle(b, cl, keys)
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, errs := cl.GetBatch(keys)
+		for j, err := range errs {
+			if err != nil {
+				b.Fatalf("batch %d key %d: %v", i, j, err)
+			}
+		}
+	}
+	b.StopTimer()
+	reportAllocsPerKey(b, &before, b.N*width)
+}

@@ -72,6 +72,9 @@ func TestBothChannelsHonourAttemptDeadline(t *testing.T) {
 	check("pipelined", err, time.Since(start))
 
 	start = time.Now()
-	_, err = c.osExchange([][]byte{osReadFrame(1, 0, 8)})
+	b := getBurst()
+	defer putBurst(b)
+	b.read(1, 0, 8)
+	err = c.exchange(b)
 	check("one-sided", err, time.Since(start))
 }

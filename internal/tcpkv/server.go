@@ -43,12 +43,14 @@
 package tcpkv
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -455,48 +457,53 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// writeFrame sends one length-prefixed frame with a single Write so the
-// header and payload share a TCP segment.
-func writeFrame(conn net.Conn, payload []byte) error {
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := conn.Write(buf)
-	return err
-}
+// burstBufSize sizes the buffered readers on both channels and bounds the
+// one-sided server's reply buffer: a whole doorbell burst (64 object
+// READs, or a 64-value WRITE burst) moves in one syscall each way.
+const burstBufSize = 64 << 10
 
-// readFrame receives one length-prefixed frame.
-func readFrame(conn net.Conn) ([]byte, error) {
-	return readFrameInto(conn, nil)
-}
+// maxFrame bounds a frame's declared length, so a corrupt prefix cannot
+// make the receiver allocate without limit.
+const maxFrame = 64 << 20
 
 // readFrameInto receives one length-prefixed frame into buf's backing
 // array (growing it when too small), so sequential receive loops reuse
 // one buffer once it has seen their peak frame size. The returned slice
 // aliases buf's backing; callers pass it back on the next call.
-func readFrameInto(conn net.Conn, buf []byte) ([]byte, error) {
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	return appendFrame(r, buf[:0])
+}
+
+// appendFrame receives one length-prefixed frame and appends its payload
+// to dst, so a burst's responses can land back to back in one arena.
+func appendFrame(r io.Reader, dst []byte) ([]byte, error) {
 	// The length prefix is staged in the destination buffer rather than a
-	// local array: a local would escape through the net.Conn interface
+	// local array: a local would escape through the io.Reader interface
 	// and cost a heap allocation per frame.
-	if cap(buf) < 4 {
-		buf = make([]byte, 0, 4096)
+	at := len(dst)
+	dst = slices.Grow(dst, 4)[:at+4]
+	if _, err := io.ReadFull(r, dst[at:]); err != nil {
+		return dst[:at], err
 	}
-	hdr := buf[:4]
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		return nil, err
+	n := int(binary.BigEndian.Uint32(dst[at:]))
+	if n > maxFrame {
+		return dst[:at], fmt.Errorf("tcpkv: oversized frame (%d bytes)", n)
 	}
-	n := int(binary.BigEndian.Uint32(hdr))
-	if n > 64<<20 {
-		return nil, fmt.Errorf("tcpkv: oversized frame (%d bytes)", n)
+	dst = slices.Grow(dst[:at], n)[:at+n]
+	if _, err := io.ReadFull(r, dst[at:]); err != nil {
+		return dst[:at], err
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
+	return dst, nil
+}
+
+// frameBuffered reports whether br already holds one whole frame, so
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	hdr, _ := br.Peek(4)
+	return br.Buffered() >= 4+int(binary.BigEndian.Uint32(hdr))
 }
 
 // frameBufPool recycles request-frame buffers on the pipelined channel,
@@ -608,9 +615,10 @@ func (s *Server) servePipelined(conn net.Conn) {
 	}
 	defer wg.Wait() // workers finish before serveConn closes the socket
 	defer close(jobs)
+	br := bufio.NewReaderSize(conn, burstBufSize)
 	for {
 		bp := frameBufPool.Get().(*[]byte)
-		raw, err := readFrameInto(conn, *bp)
+		raw, err := readFrameInto(br, *bp)
 		if err != nil {
 			frameBufPool.Put(bp)
 			return
@@ -640,20 +648,33 @@ type pipeJob struct {
 }
 
 // serveOneSided is the RNIC-emulation channel: READ/WRITE frames touch the
-// device directly, bypassing the request loop.
+// device directly, bypassing the request loop. A client posts a doorbell
+// burst of frames with one write, so requests are read through a buffered
+// reader and every reply is appended to one out-buffer. The buffer is
+// flushed before the loop could block — when the next request frame is
+// not already fully buffered — or once it passes burstBufSize. A burst
+// therefore costs one read and one write syscall, and a lone lock-step
+// READ is still answered at once.
 func (s *Server) serveOneSided(conn net.Conn) {
 	// One-sided frames are strictly sequential per connection, so one
-	// request buffer and one response buffer serve the whole session.
+	// request buffer and one reply buffer serve the whole session.
 	var (
+		br  = bufio.NewReaderSize(conn, burstBufSize)
 		raw []byte
-		out = make([]byte, 0, 4096)
+		out = make([]byte, 0, burstBufSize)
 		err error
 	)
-	// Pre-framed single-status replies (4-byte length prefix + 1 byte).
+	// Single-status replies (4-byte length prefix + 1 byte).
 	ack := [5]byte{0, 0, 0, 1, 1}
 	nak := [5]byte{0, 0, 0, 1, 0}
 	for {
-		raw, err = readFrameInto(conn, raw)
+		if len(out) > 0 && (len(out) >= burstBufSize || !frameBuffered(br)) {
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+			out = out[:0]
+		}
+		raw, err = readFrameInto(br, raw)
 		if err != nil {
 			return
 		}
@@ -666,7 +687,7 @@ func (s *Server) serveOneSided(conn net.Conn) {
 		length := int(binary.BigEndian.Uint32(raw[13:]))
 		base, size, ok := s.region(rkey)
 		if !ok || off < 0 || length < 0 || off+length > size {
-			conn.Write(nak[:])
+			out = append(out, nak[:]...)
 			continue
 		}
 		switch op {
@@ -674,27 +695,20 @@ func (s *Server) serveOneSided(conn net.Conn) {
 			if d := s.cfg.NetFaults.NextRead(); d > 0 {
 				time.Sleep(d) // a stalled RNIC read completion
 			}
-			// Frame: 4-byte length + status + data, one Write.
-			if cap(out) < 5+length {
-				out = make([]byte, 0, 5+length)
-			}
-			out = out[:5+length]
-			binary.BigEndian.PutUint32(out, uint32(1+length))
-			out[4] = 1
-			s.dev.Read(base+off, out[5:])
-			if _, err := conn.Write(out); err != nil {
-				return
-			}
+			// Reply: 4-byte length + status + data.
+			at := len(out)
+			out = slices.Grow(out, 5+length)[:at+5+length]
+			binary.BigEndian.PutUint32(out[at:], uint32(1+length))
+			out[at+4] = 1
+			s.dev.Read(base+off, out[at+5:])
 		case opWrite:
 			data := raw[17:]
 			if len(data) != length {
-				conn.Write(nak[:])
+				out = append(out, nak[:]...)
 				continue
 			}
 			s.dev.Write(base+off, data)
-			if _, err := conn.Write(ack[:]); err != nil {
-				return
-			}
+			out = append(out, ack[:]...)
 		default:
 			return
 		}

@@ -271,10 +271,12 @@ func TestOneSidedBoundsChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.read(99, 0, 64); err == nil {
+	b := getBurst()
+	defer putBurst(b)
+	if _, err := cl.read(b, 99, 0, 64); err == nil {
 		t.Fatal("read with bogus rkey succeeded")
 	}
-	if _, err := cl.read(rkeyPoolBase, uint64(cfg.PoolSize-10), 64); err == nil {
+	if _, err := cl.read(b, rkeyPoolBase, uint64(cfg.PoolSize-10), 64); err == nil {
 		t.Fatal("out-of-bounds read succeeded")
 	}
 }
